@@ -12,6 +12,12 @@ kernel launch and better throughput — shows up here as cells*rays/s
 rising with patch size for the batch kernel while the scalar path
 stays flat.
 
+A third sweep times the batch kernel on the 24^3 patch at launch chunk
+sizes around ``DEFAULT_CHUNK_RAYS``: the number of rays marched per
+call trades per-call overhead against the working set's cache
+footprint. Chunking never changes results (rays are drawn before they
+are chunked), only speed and peak memory.
+
 Results land in ``BENCH_kernel_patchsize.json`` (one row per
 kernel/patch sweep point), so cross-PR comparisons are a JSON diff.
 """
@@ -20,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core import LevelFields, trace_patch_single_level
+from repro.core.kernels import DEFAULT_CHUNK_RAYS
 from repro.core.cpu_kernel import trace_rays_scalar
 from repro.core.rays import generate_patch_rays
 from repro.grid import Box
@@ -27,6 +34,7 @@ from repro.perf import write_bench_artifact
 from repro.radiation import BurnsChristonBenchmark
 
 RAYS = 8
+CHUNKS = [1 << 14, 1 << 15, 1 << 16, 1 << 17]
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +46,8 @@ def artifact_rows():
     write_bench_artifact(
         "kernel_patchsize",
         params={"rays_per_cell": RAYS, "resolution": 24,
-                "batch_patches": [4, 8, 16, 24], "scalar_patches": [4, 8]},
+                "batch_patches": [4, 8, 16, 24], "scalar_patches": [4, 8],
+                "chunk_rays_swept": CHUNKS, "default_chunk_rays": DEFAULT_CHUNK_RAYS},
         rows=rows,
     )
 
@@ -67,6 +76,28 @@ def test_vectorized_kernel_throughput(benchmark, artifact_rows, patch):
     artifact_rows.append({
         "kernel": "batch",
         "patch": patch,
+        "cell_rays_per_s": rate,
+        "mean_s": benchmark.stats.stats.mean,
+    })
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_chunk_size_sweep(benchmark, artifact_rows, chunk):
+    fields = make_fields(24)
+    box = Box.cube(24)
+
+    def run():
+        return trace_patch_single_level(
+            fields, box, RAYS, np.random.default_rng(0), chunk_rays=chunk
+        )
+
+    benchmark.pedantic(run, rounds=3, iterations=1)
+    rate = box.volume * RAYS / benchmark.stats.stats.mean
+    print(f"\nbatch kernel, patch 24^3, {chunk} rays/launch: {rate:,.0f} cell-rays/s")
+    artifact_rows.append({
+        "kernel": "batch_chunk",
+        "patch": 24,
+        "chunk_rays": chunk,
         "cell_rays_per_s": rate,
         "mean_s": benchmark.stats.stats.mean,
     })

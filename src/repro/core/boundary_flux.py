@@ -19,6 +19,7 @@ import numpy as np
 from repro.grid.box import Box
 from repro.core.dda import RayBatch, march
 from repro.core.fields import LevelFields
+from repro.core.kernels import march_cascade
 from repro.util.errors import ReproError
 
 #: (axis, side) for the six walls; side 0 = low face, 1 = high face
@@ -165,15 +166,7 @@ def incident_flux_multilevel(
     pos[:, axis] = plane + inward * 1e-9 * dx[axis]
     dirs = cosine_hemisphere_directions(rng, n, axis, side)
 
-    batch = RayBatch.fresh(pos, dirs)
-    march(batch=batch, fields=fine, roi=roi, threshold=threshold)
-    for coarse in reversed(level_fields[:-1]):
-        if batch.parked().size == 0:
-            break
-        march(batch=batch, fields=coarse, threshold=threshold, from_handoff=True)
-    if batch.parked().size:
-        raise ReproError("radiometer rays escaped the coarsest level")
-
+    batch = march_cascade(level_fields, RayBatch.fresh(pos, dirs), roi, threshold)
     per_face = batch.sum_i.reshape(m, rays_per_face).mean(axis=1)
     shape = [e for d, e in enumerate(face_box.extent) if d != axis]
     return (np.pi * per_face).reshape(shape)

@@ -1,10 +1,9 @@
 """Batched 3-D DDA ray marching — the RMCRT device kernel's core.
 
-This is the vectorized (SoA, mask-compacted) equivalent of the CUDA
-``updateSumI`` kernel in Uintah's GPU RMCRT (paper Section III): a
-whole batch of rays advances cell-by-cell through a level's property
-arrays using the Amanatides-Woo traversal, accumulating the incoming
-intensity
+This is the vectorized equivalent of the CUDA ``updateSumI`` kernel in
+Uintah's GPU RMCRT (paper Section III): a whole batch of rays advances
+cell-by-cell through a level's property arrays using the Amanatides-Woo
+traversal, accumulating the incoming intensity
 
     sumI = integral kappa(s) Ib(s) exp(-tau(s)) ds
          = sum over segments  Ib_cell * (exp(-tau_in) - exp(-tau_out))
@@ -14,10 +13,20 @@ the attenuated wall emission, optionally reflecting), drops below the
 transmissivity threshold, or — in multi-level mode — leaves the fine
 region of interest and is parked for hand-off to a coarser level.
 
-The batch layout is exactly what a GPU wants (one ray per lane, masked
-divergence handled by compacting the active set), which is why this
-module doubles as the "GPU kernel" of the reproduction: NumPy's
-vector unit plays the role of the K20X's SIMT lanes.
+Layout. :class:`RayBatch` is the caller-facing SoA, one row per ray.
+Inside :func:`march` the working set holds *live rays only*: a
+``(10, n)`` float block (next face crossing and crossing spacing per
+axis, distance marched, optical depth, carried transmission
+``exp(-tau)``, sumI) and a ``(3, n)`` int block (batch row, flat C-order
+ring index, octant). Each step is one gather per property from the
+raveled ``abskg`` and ``sigma_t4 / pi`` arrays plus one from an int8
+per-cell code (flow / wall / outside ROI) built per call. A ray that
+finishes is written back to the batch through its row id, and both
+blocks shrink with one boolean mask — divergence is handled by
+compaction, one ray per lane, which is why this module doubles as the
+"GPU kernel" of the reproduction: NumPy's vector unit plays the role of
+the K20X's SIMT lanes. Per ray, the operations and their order are the
+scalar oracle's (:mod:`repro.core.cpu_kernel`) step for step.
 """
 
 from __future__ import annotations
@@ -84,6 +93,20 @@ class RayBatch:
         return np.nonzero(self.status == RayStatus.LEFT_ROI)[0]
 
 
+#: per-cell march codes: keep marching, wall/intrusion surface, outside ROI
+_FLOW, _WALL, _OUT = 0, 1, 2
+#: status a ray leaves the march with, indexed by the code of the cell
+#: it stopped in (a ray stopped in a flow cell went extinct)
+_STATUS_OF_CODE = np.array(
+    [RayStatus.EXTINCT, RayStatus.WALL_HIT, RayStatus.LEFT_ROI], dtype=np.int8
+)
+#: (8, 3) unit steps: octant bit k set means the ray runs toward -k
+_OCTANT_SIGNS = 1 - 2 * ((np.arange(8)[:, None] >> np.arange(3)) & 1)
+_OCTANT_BITS = np.array([1, 2, 4])
+# rows of the float working set
+_TMAX, _TDELTA, _TCUR, _TAU, _TRANS, _SUM_I = slice(0, 3), slice(3, 6), 6, 7, 8, 9
+
+
 def march(
     fields: LevelFields,
     batch: RayBatch,
@@ -126,115 +149,143 @@ def march(
     anchor = np.asarray(fields.anchor)
 
     cell = fields.position_to_cell(start_pos, nudge_dir=dirs if from_handoff else None)
-    step = np.sign(dirs).astype(np.int64)
-    with np.errstate(divide="ignore"):
-        tdelta = np.where(dirs != 0.0, dx / np.abs(dirs), np.inf)
-        next_bound = anchor + (cell + (step > 0)) * dx
-        tmax = np.where(dirs != 0.0, (next_bound - start_pos) / dirs, np.inf)
-    tcur = np.zeros(launch.size)
+    if np.any((cell < ring.lo) | (cell >= ring.hi)):
+        raise ReproError(f"rays launched outside level ring box {ring}")
 
-    # local (compacting) working copies; scattered back on termination
-    tau = batch.tau[launch].copy()
-    sum_i = batch.sum_i[launch].copy()
-    log_threshold = -np.log(threshold)
+    # flat C-order ring index, stepped by the octant's signed strides
+    e = ring.extent
+    strides = np.array([e[1] * e[2], e[2], 1])
+    steps = (_OCTANT_SIGNS * strides).ravel()
+    flat = (cell - ring.lo) @ strides
 
-    if max_steps is None:
-        e = ring.extent
-        max_steps = 16 * (e[0] + e[1] + e[2] + 3)
-
-    rows = np.arange(launch.size)  # stable identity for scatter-back
-    abskg, st4, ctype = fields.abskg, fields.sigma_t4, fields.cell_type
+    kappa = fields.abskg.ravel()
+    st4 = fields.sigma_t4.ravel()
     inv_pi = 1.0 / np.pi
+    ib = st4 * inv_pi
+    solid = fields.cell_type.ravel() != CellType.FLOW
+    code = solid.view(np.int8)
+    if roi is not None:
+        sl = roi.slices(origin=ring.lo)
+        code = np.full(e, _OUT, dtype=np.int8)
+        code[sl] = solid.reshape(e)[sl]
+        code = code.ravel()
 
     # a ray may launch already inside a wall cell (e.g. parked exactly on
     # the domain face and handed to a coarser level): it has reached the
     # wall — absorb it before the march
-    sx, sy, sz = fields.offsets(cell)
-    at_wall = ctype[sx, sy, sz] != CellType.FLOW
-    if np.any(at_wall):
-        w = rows[at_wall]
-        sum_i[w] += abskg[sx[w], sy[w], sz[w]] * st4[sx[w], sy[w], sz[w]] * inv_pi * np.exp(-tau[w])
-        batch.status[launch[w]] = RayStatus.WALL_HIT
+    tau = batch.tau[launch]
+    sum_i = batch.sum_i[launch]
+    at_wall = solid[flat]
+    if at_wall.any():
+        w = flat[at_wall]
+        sum_i[at_wall] += kappa[w] * st4[w] * inv_pi * np.exp(-tau[at_wall])
+        done = launch[at_wall]
+        batch.sum_i[done] = sum_i[at_wall]
+        batch.status[done] = RayStatus.WALL_HIT
 
-    active = rows[batch.status[launch] == RayStatus.ALIVE]
+    # the working set: one row per quantity, one column per live ray
+    work = np.empty((10, launch.size))
+    with np.errstate(divide="ignore"):
+        work[_TDELTA] = np.where(dirs != 0.0, dx / np.abs(dirs), np.inf).T
+        next_bound = anchor + (cell + (dirs > 0)) * dx
+        work[_TMAX] = np.where(dirs != 0.0, (next_bound - start_pos) / dirs, np.inf).T
+    work[_TCUR] = 0.0
+    work[_TAU] = tau
+    work[_TRANS] = np.exp(-tau)
+    work[_SUM_I] = sum_i
+    ints = np.stack([launch, flat, 3 * ((dirs < 0) @ _OCTANT_BITS)])
+    if at_wall.any():
+        work, ints = work.compress(~at_wall, axis=1), ints.compress(~at_wall, axis=1)
+    # only the working set lives on through the march: drop the launch
+    # arrays now rather than hold them at the march's peak footprint
+    del start_pos, dirs, cell, flat, tau, sum_i, next_bound
+
+    log_threshold = -np.log(threshold)
+    if max_steps is None:
+        max_steps = 16 * (e[0] + e[1] + e[2] + 3)
+    columns = np.arange(work.shape[1])
 
     for _ in range(max_steps):
-        if active.size == 0:
+        n = work.shape[1]
+        if n == 0:
             break
-        a = active
-        ax = np.argmin(tmax[a], axis=1)
-        t_next = tmax[a, ax]
-        seg = t_next - tcur[a]
+        tmax = work[_TMAX].reshape(-1)
+        tdelta = work[_TDELTA].reshape(-1)
+        tcur, tau, trans, sum_i = work[_TCUR], work[_TAU], work[_TRANS], work[_SUM_I]
+        ids, flat, octant3 = ints
 
-        ox, oy, oz = fields.offsets(cell[a])
-        kap = abskg[ox, oy, oz]
-        emis = st4[ox, oy, oz] * inv_pi
-        tau_old = tau[a]
-        tau_new = tau_old + kap * seg
-        sum_i[a] += emis * (np.exp(-tau_old) - np.exp(-tau_new))
-        tau[a] = tau_new
-        tcur[a] = t_next
+        # axis of the nearest face: the first minimum, as np.argmin picks
+        t0, t1, t2 = work[0], work[1], work[2]
+        on_z = t2 < np.minimum(t0, t1)
+        ax = (t1 < t0) | on_z
+        ax = ax.astype(np.intp) + on_z
+        pos = ax * n + columns[:n]
 
-        cell[a, ax] += step[a, ax]
-        tmax[a, ax] += tdelta[a, ax]
+        t_next = tmax.take(pos)
+        tau += kappa.take(flat) * (t_next - tcur)
+        trans_new = np.exp(-tau)
+        sum_i += ib.take(flat) * (trans - trans_new)
+        trans[:] = trans_new
+        tcur[:] = t_next
+        tmax[pos] = t_next + tdelta.take(pos)
+        flat += steps.take(octant3 + ax)
 
-        ncell = cell[a]
+        c = code.take(flat)
+        stopped = c.any()
+        if stopped:
+            keep = c == _FLOW
+            hit = np.flatnonzero(c == _WALL)
+            if hit.size:
+                wall_emis = kappa.take(flat[hit])
+                sum_i[hit] += wall_emis * ib.take(flat[hit]) * trans[hit]
+                if reflections:
+                    rho = 1.0 - wall_emis
+                    bounce = rho > threshold
+                    r = hit[bounce]
+                    if r.size:
+                        # a specular reflection is the flip of the direction
+                        # component on the hit axis plus a grey attenuation:
+                        # future contributions carry an extra factor rho,
+                        # i.e. tau increases by -ln(rho)
+                        tau[r] += -np.log(rho[bounce])
+                        trans[r] = np.exp(-tau[r])
+                        a = ax[r]
+                        octant3[r] = 3 * ((octant3[r] // 3) ^ (1 << a))
+                        flat[r] += steps.take(octant3[r] + a)  # back into the flow cell
+                        p = a * n + r
+                        tmax[p] = tcur[r] + tdelta.take(p)
+                        keep[r] = True
+                        c[r] = _FLOW
+        dead = tau > log_threshold
+        if stopped:
+            dead &= keep
+        if dead.any():
+            keep = keep & ~dead if stopped else ~dead
+        elif not stopped:
+            continue
+
+        # write the finished rays back and shrink the working set
+        gone = ~keep
+        done = ids[gone]
+        batch.status[done] = _STATUS_OF_CODE[c[gone]]
+        batch.tau[done] = tau[gone]
+        batch.sum_i[done] = sum_i[gone]
         if roi is not None:
-            inside = np.all((ncell >= roi.lo) & (ncell < roi.hi), axis=1)
-            left = a[~inside]
-            if left.size:
-                batch.status[launch[left]] = RayStatus.LEFT_ROI
-                batch.exit_pos[launch[left]] = (
-                    start_pos[left] + tcur[left, None] * dirs[left]
-                )
-            a = a[inside]
-            if a.size == 0:
-                active = a
-                continue
-
-        nx, ny, nz = fields.offsets(cell[a])
-        ct = ctype[nx, ny, nz]
-        hit = ct != CellType.FLOW
-        if np.any(hit):
-            h = a[hit]
-            wall_emis = abskg[nx[hit], ny[hit], nz[hit]]
-            wall_emit = st4[nx[hit], ny[hit], nz[hit]] * inv_pi
-            sum_i[h] += wall_emis * wall_emit * np.exp(-tau[h])
-            if reflections:
-                rho = 1.0 - wall_emis
-                reflect = rho > threshold
-                absorbed = h[~reflect]
-                batch.status[launch[absorbed]] = RayStatus.WALL_HIT
-                r = h[reflect]
-                if r.size:
-                    # a specular reflection is the flip of the direction
-                    # component on the hit axis plus a grey attenuation:
-                    # future contributions carry an extra factor rho,
-                    # i.e. tau increases by -ln(rho)
-                    tau[r] += -np.log(rho[reflect])
-                    hit_idx = np.nonzero(hit)[0][reflect]  # positions within a
-                    axes = ax[hit_idx]
-                    dirs[r, axes] = -dirs[r, axes]
-                    step[r, axes] = -step[r, axes]
-                    cell[r, axes] += step[r, axes]  # back into the flow cell
-                    tmax[r, axes] = tcur[r] + tdelta[r, axes]
-            else:
-                batch.status[launch[h]] = RayStatus.WALL_HIT
-
-        # threshold extinction: exp(-tau) < threshold
-        dead = a[(tau[a] > log_threshold) & (batch.status[launch[a]] == RayStatus.ALIVE)]
-        if dead.size:
-            batch.status[launch[dead]] = RayStatus.EXTINCT
-
-        active = rows[batch.status[launch] == RayStatus.ALIVE]
+            left = gone & (c == _OUT)
+            if left.any():
+                p = ids[left]
+                # exit along the current direction: reflections flipped
+                # the components whose octant bit changed
+                d = batch.directions[p]
+                flips = (octant3[left] // 3) ^ ((d < 0) @ _OCTANT_BITS)
+                d = d * _OCTANT_SIGNS[flips]
+                start = (batch.exit_pos if from_handoff else batch.origins)[p]
+                batch.exit_pos[p] = start + tcur[left, None] * d
+        work, ints = work.compress(keep, axis=1), ints.compress(keep, axis=1)
     else:
-        still = int((batch.status[launch] == RayStatus.ALIVE).sum())
-        if still:
+        if work.shape[1]:
             raise ReproError(
-                f"{still} rays still alive after {max_steps} DDA steps — "
+                f"{work.shape[1]} rays still alive after {max_steps} DDA steps — "
                 f"grid/threshold configuration cannot terminate them"
             )
-
-    batch.tau[launch] = tau
-    batch.sum_i[launch] = sum_i
     return batch

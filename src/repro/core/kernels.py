@@ -13,6 +13,7 @@ its working set fits the K20X's 6 GB (paper Section III.C).
 
 from __future__ import annotations
 
+from typing import Optional
 
 import numpy as np
 
@@ -45,6 +46,45 @@ def divq_from_sums(
     if solid.any():
         divq = np.where(solid, 0.0, divq)
     return divq
+
+
+def march_cascade(
+    level_fields: list,
+    batch: RayBatch,
+    roi: Optional[Box],
+    threshold: float = 1e-4,
+    reflections: bool = False,
+) -> RayBatch:
+    """March ``batch`` through the data-onion hierarchy.
+
+    Rays start on the finest level (``level_fields`` is ordered
+    coarsest-first) restricted to ``roi``; any ray parked there
+    continues on the next coarser level, which it marches whole. Raises
+    if rays are still parked after the coarsest level.
+    """
+    march(
+        batch=batch,
+        fields=level_fields[-1],
+        roi=roi,
+        threshold=threshold,
+        reflections=reflections,
+    )
+    for coarse in reversed(level_fields[:-1]):
+        if batch.parked().size == 0:
+            break
+        march(
+            batch=batch,
+            fields=coarse,
+            threshold=threshold,
+            reflections=reflections,
+            from_handoff=True,
+        )
+    if batch.parked().size:
+        raise ReproError(
+            "rays left the coarsest level's ROI — the coarsest level "
+            "must span the whole domain"
+        )
+    return batch
 
 
 def trace_patch_single_level(
@@ -125,29 +165,7 @@ def trace_patch_multi_level(
     for start in range(0, total, stride):
         end = min(start + stride, total)
         batch = RayBatch.fresh(origins[start:end], directions[start:end])
-        march(
-            batch=batch,
-            fields=fine,
-            roi=roi,
-            threshold=threshold,
-            reflections=reflections,
-        )
-        # cascade: any parked ray continues on the next coarser level
-        for coarse in reversed(level_fields[:-1]):
-            if batch.parked().size == 0:
-                break
-            march(
-                batch=batch,
-                fields=coarse,
-                threshold=threshold,
-                reflections=reflections,
-                from_handoff=True,
-            )
-        if batch.parked().size:
-            raise ReproError(
-                "rays left the coarsest level's ROI — the coarsest level "
-                "must span the whole domain"
-            )
+        march_cascade(level_fields, batch, roi, threshold, reflections)
         per_cell = batch.sum_i.reshape(-1, rays_per_cell).mean(axis=1)
         sums[start // rays_per_cell: end // rays_per_cell] = per_cell
 

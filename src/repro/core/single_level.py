@@ -28,6 +28,10 @@ from repro.util.rng import RandomStreams
 from repro.util.timing import TimerRegistry
 
 
+#: the timer names solver paths record a whole solve under
+SOLVE_TIMERS = ("rmcrt_solve", "spectral_solve")
+
+
 @dataclass
 class RMCRTResult:
     """Output of one radiation solve."""
@@ -39,6 +43,16 @@ class RMCRTResult:
     #: incident radiative flux in wall-adjacent cells (pipelines with
     #: compute_boundary_flux=True), zeros elsewhere; None when not computed
     wall_flux: "np.ndarray | None" = None
+
+    @property
+    def solve_time_s(self) -> float:
+        """Wall seconds of the solve, from whichever solve timer its
+        path recorded (the gray solvers and the spectral tracer name
+        theirs differently)."""
+        for name in SOLVE_TIMERS:
+            if name in self.timers:
+                return self.timers(name).elapsed
+        return 0.0
 
     @property
     def total_emission(self) -> float:

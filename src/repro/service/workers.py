@@ -47,7 +47,7 @@ def _solve_in_process(spec: ProblemSpec):
     from repro.ups import run_ups
 
     result = run_ups(spec)
-    return result.divq, result.rays_traced, result.timers("rmcrt_solve").elapsed
+    return result.divq, result.rays_traced, result.solve_time_s
 
 
 class WorkerPool:
@@ -241,7 +241,7 @@ class WorkerPool:
             result = run_prepared(spec, scene)
             divq = result.divq
             rays = result.rays_traced
-            solve_time = result.timers("rmcrt_solve").elapsed
+            solve_time = result.solve_time_s
         return CachedSolve(
             fingerprint=fingerprint,
             divq=divq,

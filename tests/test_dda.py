@@ -5,6 +5,9 @@ lengths, correct accumulation physics (attenuation algebra), ROI
 parking, reflections, and termination guarantees.
 """
 
+import copy
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from repro.core import (
     isotropic_directions,
     march,
     march_single_ray,
+    patch_roi,
     trace_rays_scalar,
 )
 from repro.radiation import RadiativeProperties
@@ -287,3 +291,178 @@ class TestBatchMechanics:
         march(fields=fields, batch=batch)
         assert (batch.sum_i >= 0).all()
         assert (batch.sum_i <= 1 / np.pi + 1e-12).all()
+
+
+# ----------------------------------------------------------------------
+# bit pins outside the gold path
+# ----------------------------------------------------------------------
+def pin_fields(n, seed, wall_emis=1.0, intrusion=None):
+    """Heterogeneous unit-cube level: random kappa and emission, hot
+    walls, and an optional intrusion box (interior cell indices)."""
+    rng = np.random.default_rng(seed)
+    box = Box.cube(n)
+    cell_type = None
+    if intrusion is not None:
+        cell_type = np.full(box.extent, CellType.FLOW, dtype=np.int8)
+        cell_type[intrusion.slices(origin=box.lo)] = CellType.INTRUSION
+    props = RadiativeProperties.from_fields(
+        box,
+        abskg=0.2 + 3.0 * rng.random(box.extent),
+        sigma_t4=rng.random(box.extent),
+        wall_temperature=40.0,
+        wall_emissivity=wall_emis,
+        cell_type=cell_type,
+    )
+    return LevelFields(
+        abskg=props.abskg,
+        sigma_t4=props.sigma_t4,
+        cell_type=props.cell_type,
+        interior=box,
+        dx=(1.0 / n,) * 3,
+        anchor=(0.0, 0.0, 0.0),
+    )
+
+
+def pin_rays(fields, box, n, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    cells = lo + rng.integers(0, hi - lo, size=(n, 3))
+    origins = fields.anchor + (cells + rng.random((n, 3))) * np.asarray(fields.dx)
+    return origins, isotropic_directions(rng, n)
+
+
+def batch_digest(*batches):
+    h = hashlib.sha256()
+    for b in batches:
+        for arr in (b.sum_i, b.tau, b.status, b.exit_pos):
+            h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def pin_roi_handoff():
+    fine = pin_fields(16, 101, intrusion=Box((9, 9, 9), (11, 12, 11)))
+    coarse = pin_fields(8, 102, intrusion=Box((4, 4, 4), (6, 6, 6)))
+    patch = Box((0, 4, 4), (6, 10, 10))
+    roi = patch_roi(fine.interior, patch, halo=2)
+    batch = RayBatch.fresh(*pin_rays(fine, patch, 600, 103))
+    march(fields=fine, batch=batch, roi=roi)
+    parked = copy.deepcopy(batch)
+    march(fields=coarse, batch=batch, from_handoff=True)
+    return batch_digest(parked, batch)
+
+
+def pin_reflections():
+    fields = pin_fields(10, 201, wall_emis=0.4, intrusion=Box((2, 3, 4), (4, 7, 6)))
+    batch = RayBatch.fresh(*pin_rays(fields, fields.interior, 600, 202))
+    march(fields=fields, batch=batch, reflections=True, threshold=1e-5)
+    return batch_digest(batch)
+
+
+def pin_roi_reflections():
+    fields = pin_fields(12, 301, wall_emis=0.4)
+    roi = Box((-1, -1, 2), (9, 13, 13))
+    batch = RayBatch.fresh(*pin_rays(fields, Box((0, 0, 3), (8, 12, 12)), 600, 302))
+    march(fields=fields, batch=batch, roi=roi, reflections=True, threshold=1e-5)
+    return batch_digest(batch)
+
+
+def pin_tau0():
+    fields = pin_fields(10, 401)
+    batch = RayBatch.fresh(*pin_rays(fields, fields.interior, 600, 402))
+    rng = np.random.default_rng(403)
+    batch.tau[:] = 8.0 * rng.random(batch.n)
+    batch.sum_i[:] = rng.random(batch.n)
+    march(fields=fields, batch=batch)
+    return batch_digest(batch)
+
+
+def pin_wall_launch():
+    fields = pin_fields(8, 501, intrusion=Box((3, 3, 3), (5, 5, 5)))
+    # ring cells on every face, the intrusion, and the open medium
+    origins, dirs = pin_rays(fields, fields.ring_box, 600, 502)
+    batch = RayBatch.fresh(origins, dirs)
+    batch.tau[:] = 0.5
+    march(fields=fields, batch=batch)
+    return batch_digest(batch)
+
+
+def pin_zero_components():
+    # an intrusion makes the axis picked at a face-crossing tie visible
+    fields = pin_fields(8, 601, intrusion=Box((2, 3, 3), (5, 5, 6)))
+    rng = np.random.default_rng(602)
+    n = 600
+    cells = rng.integers(0, 8, size=(n, 3))
+    origins = np.asarray(fields.cell_center(cells))  # centres: tmax ties
+    dirs = isotropic_directions(rng, n)
+    zero = rng.integers(0, 3, size=(n, 2))
+    dirs[np.arange(n), zero[:, 0]] = 0.0
+    dirs[: n // 3, :][np.arange(n // 3), zero[: n // 3, 1]] = 0.0
+    dirs[n // 2:, :] = np.sign(dirs[n // 2:, :])  # axis and 45-degree rays
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    batch = RayBatch.fresh(origins, dirs)
+    march(fields=fields, batch=batch)
+    return batch_digest(batch)
+
+
+#: SHA-256 of (sum_i, tau, status, exit_pos) bytes, recorded with the
+#: per-step-rescan kernel that preceded the compacted one. That kernel
+#: flipped the wrong axis when a ray reflected in the same step another
+#: ray left the ROI; ``roi_reflections`` was recorded with that one
+#: indexing fix applied and nothing else changed.
+PINNED_DIGESTS = {
+    "roi_handoff": (
+        pin_roi_handoff,
+        "193236adb2f08f2cf959f3c6f700dce198cb1103f5e13744aeca7edc1271f3de",
+    ),
+    "reflections": (
+        pin_reflections,
+        "c64d5ab291d46966ce1e58d43a4f3f082dea1d2bbf45d402f8b33ba91280b8a9",
+    ),
+    "roi_reflections": (
+        pin_roi_reflections,
+        "f5d98c482eca03c567c77298df6105a98b5f8f23def0b43b115bf0fc9aadf878",
+    ),
+    "tau0": (
+        pin_tau0,
+        "02fd58b45c38325fc39d3d8e25a31510057e966bd65c3e011d03a2073255aa88",
+    ),
+    "wall_launch": (
+        pin_wall_launch,
+        "8a0ab2e93a3a824b0de1c99a41733720f843e3203aeda93ad373992c02a13c48",
+    ),
+    "zero_components": (
+        pin_zero_components,
+        "c4f6da0aebbaf7a5a36ca3f047dfc3c3e2646d46d01b70df56a60593cff2b30b",
+    ),
+}
+
+
+class TestBitPins:
+    @pytest.mark.parametrize("case", sorted(PINNED_DIGESTS))
+    def test_digest(self, case):
+        build, digest = PINNED_DIGESTS[case]
+        assert build() == digest
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_property_roi_reflections_match_scalar(seed):
+    """ROI parking and specular reflections together: the batch kernel
+    agrees with the scalar oracle ray for ray."""
+    rng = np.random.default_rng(seed)
+    fields = pin_fields(8, seed, wall_emis=0.4)
+    lo = rng.integers(-1, 3, size=3)
+    roi = Box(tuple(lo), tuple(lo + rng.integers(4, 7, size=3)))
+    roi = roi.intersect(fields.ring_box)
+    inner = Box(tuple(np.maximum(roi.lo, 0)), tuple(np.minimum(roi.hi, 8)))
+    origins, dirs = pin_rays(fields, inner, 24, seed + 1)
+    batch = RayBatch.fresh(origins, dirs)
+    march(fields=fields, batch=batch, roi=roi, reflections=True, threshold=1e-5)
+    for r in range(batch.n):
+        s, _, status, exit_pos = march_single_ray(
+            fields, origins[r], dirs[r], roi=roi, reflections=True, threshold=1e-5
+        )
+        assert batch.status[r] == status
+        assert np.isclose(batch.sum_i[r], s, rtol=0, atol=1e-14)
+        if status == RayStatus.LEFT_ROI:
+            assert np.allclose(batch.exit_pos[r], exit_pos, rtol=0, atol=1e-12)

@@ -235,6 +235,20 @@ class TestRetries:
                     handle.result(timeout=60)
 
 
+class TestSolveTime:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_spectral_solve_time_reported(self, backend):
+        """The spectral tracer times its solve under its own timer name;
+        both backends must still report a non-zero solve time."""
+        from repro.ups import SpectralSpec
+
+        spec = tiny_spec(seed=7)
+        spec.spectral = SpectralSpec(bands=1)
+        with ServiceClient(ServiceConfig(workers=1, backend=backend)) as client:
+            result = client.solve(spec, timeout=120)
+        assert result.solve_time_s > 0
+
+
 class TestProcessBackend:
     def test_process_solve_matches_run_ups(self):
         spec = small_spec()
